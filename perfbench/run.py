@@ -4,16 +4,20 @@ Usage (from the repository root)::
 
     python3 perfbench/run.py --workload solver-sweep --seed 1 --seconds 20 --trace 0
 
-The run sets up ``setup_rounds`` times (``setup_s`` is the import time
-plus the median round), then runs whole sweeps in a closed loop until
-``--seconds`` have passed (at least one), then checks every sweep's output
-untimed.  ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` wraps
-the layer boundaries listed in ``layers.py`` and reports per-layer self
-times and counts, averaged per sweep, and writes the spans to
+The run sets up ``SETUP_ROUNDS`` times, then runs whole sweeps in a closed
+loop until ``--seconds`` have passed (at least one), then checks every
+sweep's output untimed.  ``setup_s`` is the median of ``IMPORT_SAMPLES``
+import times (this process's own, then fresh interpreters' between the
+first sweeps) plus the median set-up round.
+
+``--trace 0`` reports the end-to-end metrics; ``--trace 1`` wraps the layer
+boundaries listed in ``layers.py`` and reports per-layer self times and
+counts, averaged per sweep, and writes the spans to
 ``.perfbench_out/<workload>.spans.jsonl``.
 
 The last line of standard output is
 ``{"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}``.
+``correct`` is false, and the exit code 1, when an output check fails.
 """
 
 from __future__ import annotations
@@ -27,11 +31,34 @@ import json  # noqa: E402
 import os  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT_DIR = os.path.join(ROOT, ".perfbench_out")
+
+#: Times every workload sets up; ``setup_s`` takes the median round.  On
+#: store-resume, whose round is a 5-6 s cold run, the quartile spread of
+#: ``setup_s`` over three sets of 10 runs was 0.24, 0.09 and 0.08 with one
+#: round, and 0.07, 0.06 and 0.11 with the median of three (README).
+SETUP_ROUNDS = 3
+
+#: Import times behind ``setup_s``.  The import (about 0.25 s) is most of
+#: the set-up of every workload but store-resume, and this machine's speed
+#: drifts over seconds, so samples taken together move together: the median
+#: of three back-to-back imports still had a quartile spread of 0.30 over 5
+#: solver-sweep runs.  The samples are therefore spread over the run, one
+#: after each of the first sweeps (README).
+IMPORT_SAMPLES = 5
+
+#: Imports what this process imports before its set-up, in a fresh
+#: interpreter, and prints how long that took.
+IMPORT_PROBE = (
+    "import sys, time; began = time.perf_counter(); sys.path.insert(0, sys.argv[1]); "
+    "import run, workloads, layers; run.import_program(); "
+    "print(time.perf_counter() - began)"
+)
 
 #: Layers whose span count is reported too, under these names.  Every layer
 #: of ``layers.LAYER_TARGETS`` reports its self time as ``<layer>_s``.
@@ -67,6 +94,15 @@ def import_program():
 
     if faults.active_plan() is not None:
         raise SystemExit("perfbench: a fault-injection plan is active")
+
+
+def import_seconds() -> float:
+    """How long a fresh interpreter takes to import what this process imported."""
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, HERE],
+        cwd=ROOT, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return float(probe.stdout.strip().splitlines()[-1])
 
 
 def metric(value, unit):
@@ -143,6 +179,22 @@ def per_layer(tracer, sweeps):
     return {name: metric(total / len(sweeps), units[name]) for name, total in sorted(totals.items())}
 
 
+def result_line(sweeps, failures, metrics) -> dict:
+    """The run's JSON result.
+
+    Every entry of ``failures`` is a failed operation.  One whose leg raised
+    or degraded (``outcome.error``) produced no output to judge; any other
+    failed an output check, and makes the run's output incorrect.
+    """
+    wrong = [key for key in failures if sweeps[key[0]].versions[key[1]].error is None]
+    return {
+        "correct": not wrong,
+        "attempted": sum(len(s.versions) for s in sweeps),
+        "failed": len(failures),
+        "metrics": metrics,
+    }
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path.insert(0, HERE)
@@ -164,21 +216,28 @@ def main(argv=None) -> int:
     tracer = None
     try:
         rounds = []
-        for _ in range(workload.setup_rounds):
+        for _ in range(SETUP_ROUNDS):
             began = time.perf_counter()
             bench.prepare()
             rounds.append(time.perf_counter() - began)
-        setup_s = imported + statistics.median(rounds)
 
         if args.trace:
             tracer = Tracer()
             tracer.install_layers()
         sweeps = []
+        imports = [imported]
         loop_started = time.perf_counter()
         while True:
             sweeps.append(bench.sweep(tracer.sweep(len(sweeps)) if tracer else None))
+            if len(imports) < IMPORT_SAMPLES:
+                imports.append(import_seconds())
             if time.perf_counter() - loop_started >= args.seconds:
                 break
+        while len(imports) < IMPORT_SAMPLES:
+            imports.append(import_seconds())
+        setup_s = statistics.median(imports) + statistics.median(rounds)
+        print(f"perfbench: imports {[round(t, 4) for t in imports]} s, "
+              f"set-up rounds {[round(r, 4) for r in rounds]} s")
         if tracer is not None:
             tracer.uninstall()
             metrics = per_layer(tracer, sweeps)
@@ -196,14 +255,9 @@ def main(argv=None) -> int:
     for (sweep_index, op_index), reason in sorted(failures.items()):
         outcome = sweeps[sweep_index].versions[op_index]
         print(f"perfbench: FAILED sweep {sweep_index} {outcome.history} {outcome.version}: {reason}")
-    attempted = sum(len(s.versions) for s in sweeps)
-    print(json.dumps({
-        "correct": True,
-        "attempted": attempted,
-        "failed": len(failures),
-        "metrics": metrics,
-    }))
-    return 0
+    result = result_line(sweeps, failures, metrics)
+    print(json.dumps(result))
+    return 0 if result["correct"] else 1
 
 
 if __name__ == "__main__":

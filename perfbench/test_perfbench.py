@@ -6,6 +6,7 @@ repository root.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import sys
@@ -18,6 +19,7 @@ import pytest  # noqa: E402
 
 import layers  # noqa: E402
 import oracle  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -192,3 +194,26 @@ def test_every_wrapper_is_removed_after_a_traced_run(tmp_path):
     times = tracer.self_times(0)
     assert times["solver.context"][1] > 0 and times["cfg.build"][1] > 0
     assert len(sweep.versions) == len(bench.histories["WBS"].history()) - 1
+
+
+def test_a_failed_output_check_makes_the_result_incorrect(tmp_path):
+    bench = workloads.Bench(workloads.Workload("tiny", ("WBS",)), str(tmp_path), seed=1)
+    try:
+        bench.prepare()
+        sweep = bench.sweep()
+        good = list(sweep.versions)
+        # A leg that degraded fails its operation but judges no output.
+        sweep.versions[1] = dataclasses.replace(good[1], error="degraded run")
+        failures = bench.check([sweep])
+        assert run.result_line([sweep], failures, {}) == {
+            "correct": True, "attempted": len(good), "failed": 1, "metrics": {},
+        }
+        # A full run that lost a directed PC fails the subset check.
+        lost = [pc for pc in good[0].full if pc != good[0].directed[0]]
+        sweep.versions[0] = dataclasses.replace(good[0], full=tuple(lost))
+        failures = bench.check([sweep])
+    finally:
+        bench.close()
+    assert "absent from the full run" in failures[(0, 0)]
+    result = run.result_line([sweep], failures, {})
+    assert result["correct"] is False and result["failed"] == 2

@@ -41,8 +41,6 @@ class Workload:
     workers: int = 1
     #: Resume each history from a seed store that set-up writes.
     resume: bool = False
-    #: Times set-up is repeated; ``setup_s`` reports the median.
-    setup_rounds: int = 3
 
 
 WORKLOADS = {
@@ -50,7 +48,7 @@ WORKLOADS = {
     for w in (
         Workload("solver-sweep", ("ASW", "ASW-CALLS")),
         Workload("record-sweep", ("FCS", "OAE")),
-        Workload("store-resume", ("ASW", "WBS", "OAE", "ASW-CALLS"), resume=True, setup_rounds=2),
+        Workload("store-resume", ("ASW", "WBS", "OAE", "ASW-CALLS"), resume=True),
         Workload("pool-sweep", ("ASW", "WBS", "OAE"), workers=2),
         # Baselines for the README's reference figures (not in BENCHMARK.json):
         # store-resume's histories cold, and pool-sweep's at workers=1 (the
